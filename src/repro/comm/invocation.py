@@ -98,10 +98,17 @@ def encode_invocation(
 
 
 def decode_invocation(encoded: Dict[str, Any]) -> MarshalledInvocation:
-    """Decode a dict produced by :func:`encode_invocation`."""
+    """Decode a dict produced by :func:`encode_invocation`.
+
+    Raises :class:`InvocationCodecError` on malformed input, including
+    ``args`` that are not a list or tuple (a string is not N arguments).
+    """
     try:
         method = encoded["method"]
-        args = tuple(encoded.get("args", ()))
+        args = encoded.get("args", ())
+        if type(args) is not list and not isinstance(args, tuple):
+            raise TypeError(f"args must be a list or tuple, got {args!r}")
+        args = tuple(args)
         raw_kwargs = encoded.get("kwargs")
         if isinstance(raw_kwargs, dict):
             # ``sorted`` reads the mapping without mutating it, so the
@@ -113,7 +120,7 @@ def decode_invocation(encoded: Dict[str, Any]) -> MarshalledInvocation:
         else:
             kwargs = tuple(sorted(dict(raw_kwargs).items()))
         read_only = bool(encoded.get("read_only", True))
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise InvocationCodecError(f"malformed invocation {encoded!r}") from exc
     if not isinstance(method, str) or not method:
         raise InvocationCodecError(f"invalid method name {method!r}")

@@ -11,11 +11,18 @@ object behind the control object.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+import functools
+from typing import Any
 
 from repro.comm.invocation import MarshalledInvocation
 from repro.core.control import ControlObject
 from repro.sim.future import Future
+
+#: Process-wide marshalling cache for keyword-free calls, called as
+#: ``_marshal(method, args, (), read_only)``.  An invocation is an
+#: immutable value, so every stub making the same call shares one
+#: instance instead of re-marshalling it.
+_marshal = functools.lru_cache(maxsize=1024)(MarshalledInvocation)
 
 
 class Stub:
@@ -24,13 +31,6 @@ class Stub:
     def __init__(self, control: ControlObject, client_id: str) -> None:
         self._control = control
         self.client_id = client_id
-        #: Marshalled-invocation cache for keyword-free calls.  A client
-        #: keeps invoking the same few methods on the same few pages;
-        #: the invocation is an immutable value object, so repeats share
-        #: one instance instead of re-marshalling per call.
-        self._invocations: Dict[
-            Tuple[str, Tuple[Any, ...], bool], MarshalledInvocation
-        ] = {}
 
     def invoke(
         self,
@@ -57,20 +57,12 @@ class Stub:
                 read_only=read_only,
             )
         else:
-            key = (method, args, read_only)
             try:
-                invocation = self._invocations.get(key)
+                invocation = _marshal(method, args, (), read_only)
             except TypeError:  # unhashable argument: marshal uncached
                 invocation = MarshalledInvocation(
                     method=method, args=args, read_only=read_only
                 )
-            else:
-                if invocation is None:
-                    invocation = self._invocations[key] = (
-                        MarshalledInvocation(
-                            method=method, args=args, read_only=read_only
-                        )
-                    )
         return self._control.invoke(invocation, weight=weight)
 
     def read(

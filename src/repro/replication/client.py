@@ -14,6 +14,7 @@ web master writes directly to the web server while reading from its cache.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.coherence.models import CoherenceModel, SessionGuarantee
@@ -31,6 +32,25 @@ from repro.sim.future import Future
 
 class ReplicaError(Exception):
     """A store rejected or failed an invocation."""
+
+
+@functools.lru_cache(maxsize=1024)
+def _encoded_read(
+    invocation: MarshalledInvocation,
+) -> Tuple[Dict[str, Any], int]:
+    """The wire dict of a read invocation and its size.
+
+    A pure function of an immutable value, cached process-wide with no
+    invalidation: every client shares one encoded dict per distinct read
+    (request bodies are never mutated).
+    """
+    encoded = encode_invocation(
+        invocation.method,
+        *invocation.args,
+        read_only=True,
+        **invocation.kwargs_dict(),
+    )
+    return encoded, estimate_size(encoded)
 
 
 class ClientReplicationObject(ReplicationObject):
@@ -78,13 +98,6 @@ class ClientReplicationObject(ReplicationObject):
         self.writes_issued = 0
         #: Completed operation latencies: ("read"|"write", seconds).
         self.op_latencies: list = []
-        #: Encoded read-invocation cache: invocation -> (wire dict, size).
-        #: Clients re-read the same small page set, so the encode +
-        #: size walk is paid once per distinct invocation; the encoded
-        #: dict is shared by reference (request bodies are frozen).
-        self._read_encodings: Dict[
-            MarshalledInvocation, Tuple[Dict[str, Any], int]
-        ] = {}
 
     # -- ReplicationObject -----------------------------------------------------
 
@@ -110,22 +123,9 @@ class ClientReplicationObject(ReplicationObject):
         started = self.control.now()
         result: Future = Future()
         try:
-            cached = self._read_encodings.get(invocation)
-            cacheable = True
+            encoded, encoded_size = _encoded_read(invocation)
         except TypeError:  # unhashable argument values: encode uncached
-            cached = None
-            cacheable = False
-        if cached is None:
-            encoded = encode_invocation(
-                invocation.method,
-                *invocation.args,
-                read_only=True,
-                **invocation.kwargs_dict(),
-            )
-            cached = (encoded, estimate_size(encoded))
-            if cacheable:
-                self._read_encodings[invocation] = cached
-        encoded, encoded_size = cached
+            encoded, encoded_size = _encoded_read.__wrapped__(invocation)
         wire, wire_size = self.session.wire_sized()
         body = {"invocation": encoded, "session": wire}
         # The request size, assembled from the cached parts: the fixed

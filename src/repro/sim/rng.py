@@ -63,10 +63,21 @@ class SeededRng:
         # construction, only the state setup is deferred.
         self._random: Optional[random.Random] = None
         self._forks = 0
+        self._released = False
 
     def _materialize(self) -> random.Random:
+        if self._released:
+            raise RuntimeError(f"draw on released RNG stream {self.seed}")
         rng = self._random = random.Random(self.seed)
         return rng
+
+    def release(self) -> None:
+        """Drop the generator state after its owner's last draw.
+
+        Later draws raise: re-seeding would silently replay the stream.
+        """
+        self._random = None
+        self._released = True
 
     def fork(self, label: str = "") -> "SeededRng":
         """Create an independent child generator.

@@ -35,10 +35,10 @@ from repro.replication.client import ReplicaError
 from repro.sim.process import Delay, WaitFor
 from repro.sim.rng import SeededRng
 from repro.web.webobject import Browser
-from repro.workload.generator import EPOCH, WorkloadStats, ZipfPagePicker
+from repro.workload.generator import ReaderWorkload
 
 
-class CohortReaderWorkload:
+class CohortReaderWorkload(ReaderWorkload):
     """``weight`` identical browsing clients driven as one process.
 
     Parameters
@@ -75,16 +75,11 @@ class CohortReaderWorkload:
     ) -> None:
         if weight < 1:
             raise ValueError(f"cohort weight must be >= 1, got {weight!r}")
-        self.browser = browser
-        self.picker = ZipfPagePicker(pages, rng.fork("pages"), skew)
-        self.rng = rng
+        super().__init__(browser, pages, rng, mean_think, operations, skew)
         self.weight = weight
-        self.mean_think = mean_think
-        self.operations = operations
         self.expand = expand
         #: Individually bound member browsers once expanded, else ``None``.
         self.members: Optional[List[Browser]] = None
-        self.stats = WorkloadStats()
 
     @property
     def expanded(self) -> bool:
@@ -105,11 +100,8 @@ class CohortReaderWorkload:
         """
         remaining = self.operations
         while remaining > 0:
-            block = min(remaining, EPOCH)
-            remaining -= block
-            thinks = self.rng.exponential_block(self.mean_think, block)
-            pages = self.picker.pick_block(block)
-            for think, page in zip(thinks, pages):
+            remaining, epoch = self._draw_epoch(remaining)
+            for think, page in epoch:
                 yield Delay(think)
                 if self.members is None:
                     try:

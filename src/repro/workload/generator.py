@@ -21,7 +21,7 @@ import dataclasses
 import threading
 import time
 from bisect import bisect_right
-from typing import Any, Generator, List, Optional, Sequence
+from typing import Any, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from repro.replication.client import ReplicaError
 from repro.sim.future import Future
@@ -46,7 +46,7 @@ class ZipfPagePicker:
     def __init__(self, pages: Sequence[str], rng: SeededRng, skew: float = 1.0) -> None:
         if not pages:
             raise ValueError("pages must be non-empty")
-        self.pages = list(pages)
+        self.pages = tuple(pages)
         self.rng = rng
         self.skew = skew
         self.cumulative = zipf_cumulative(len(self.pages), skew)
@@ -93,7 +93,11 @@ class WorkloadStats:
 
 
 class ReaderWorkload:
-    """A browsing client: Zipf page reads with exponential think time."""
+    """A browsing client: Zipf page reads with exponential think time.
+
+    The workload owns ``rng``: it and the picker's fork of it are
+    released once the last read is drawn, so pass a stream of its own.
+    """
 
     def __init__(
         self,
@@ -111,21 +115,34 @@ class ReaderWorkload:
         self.operations = operations
         self.stats = WorkloadStats()
 
+    def _draw_epoch(
+        self, remaining: int
+    ) -> Tuple[int, Iterator[Tuple[float, str]]]:
+        """Pre-draw the next epoch: ``(reads left, (think, page) pairs)``.
+
+        Think times and page picks come from separate streams, so
+        blocking each keeps the historical per-request draw order.  Both
+        streams are released with the last epoch: 10^4 idle readers must
+        not hold their Mersenne-Twister states for the rest of the run.
+        """
+        block = min(remaining, EPOCH)
+        remaining -= block
+        thinks = self.rng.exponential_block(self.mean_think, block)
+        pages = self.picker.pick_block(block)
+        if not remaining:
+            self.rng.release()
+            self.picker.rng.release()
+        return remaining, zip(thinks, pages)
+
     def run(self) -> Generator:
         """Generator body for :class:`~repro.sim.process.Process`.
 
-        Randomness is pre-drawn one epoch at a time.  Think times come
-        from this workload's own stream and page picks from the picker's
-        forked stream, so blocking each independently consumes both
-        streams in the historical per-request order.
+        Randomness is pre-drawn one epoch at a time (:meth:`_draw_epoch`).
         """
         remaining = self.operations
         while remaining > 0:
-            block = min(remaining, EPOCH)
-            remaining -= block
-            thinks = self.rng.exponential_block(self.mean_think, block)
-            pages = self.picker.pick_block(block)
-            for think, page in zip(thinks, pages):
+            remaining, epoch = self._draw_epoch(remaining)
+            for think, page in epoch:
                 yield Delay(think)
                 try:
                     yield WaitFor(self.browser.read_page(page))

@@ -176,9 +176,11 @@ def run_profile(
     )
     sim = deployment.sim
     rng = sim.rng.fork("workload")
+    # Every reader's picker keeps this tuple as is: no per-reader copy.
+    page_names = tuple(pages)
     writer = WriterWorkload(
         deployment.browsers["master"],
-        pages=list(pages),
+        pages=page_names,
         rng=rng.fork("writer"),
         interval=profile.write_interval,
         operations=profile.writes,
@@ -193,7 +195,7 @@ def run_profile(
             workloads.append(
                 CohortReaderWorkload(
                     browser,
-                    pages=list(pages),
+                    pages=page_names,
                     rng=rng.fork(name),
                     weight=deployment.cohorts[name],
                     mean_think=profile.read_think,
@@ -208,7 +210,7 @@ def run_profile(
         workloads.append(
             ReaderWorkload(
                 browser,
-                pages=list(pages),
+                pages=page_names,
                 rng=rng.fork(name),
                 mean_think=profile.read_think,
                 operations=profile.reads_per_client,

@@ -118,6 +118,19 @@ class TestInvocationCodec:
         with pytest.raises(InvocationCodecError):
             decode_invocation({"method": ""})
 
+    @pytest.mark.parametrize("field, value", [
+        ("args", "page-3.html"),  # would decode to one arg per character
+        ("kwargs", "ab"),
+        ("kwargs", [("a", 1, 2)]),
+    ])
+    def test_malformed_args_and_kwargs_rejected(self, field, value):
+        with pytest.raises(InvocationCodecError):
+            decode_invocation({"method": "read_page", field: value})
+
+    def test_tuple_args_accepted(self):
+        decoded = decode_invocation({"method": "m", "args": ("a", 1)})
+        assert decoded.args == ("a", 1)
+
     @given(
         st.text(min_size=1, max_size=20).filter(str.strip),
         st.lists(st.one_of(st.integers(), st.text(max_size=10)), max_size=4),

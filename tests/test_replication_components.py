@@ -287,12 +287,12 @@ class TestReadRequestSizing:
     """The client assembles read-request sizes from cached parts; the
     arithmetic must equal a fresh ``estimate_size`` walk over the body."""
 
-    def _client(self, **kwargs):
+    def _client(self, client_id="c1", **kwargs):
         from repro.coherence.models import SessionGuarantee
         from repro.replication.client import ClientReplicationObject
 
         client = ClientReplicationObject(
-            "c1", read_store="cache",
+            client_id, read_store="cache",
             guarantees={SessionGuarantee.READ_YOUR_WRITES,
                         SessionGuarantee.MONOTONIC_READS},
             **kwargs,
@@ -346,9 +346,45 @@ class TestReadRequestSizing:
         assert second is first  # shared by reference, equal by value
         self.assert_size_pinned(self._sent_message(client))
 
+    def test_clients_share_one_encoding_per_read(self):
+        # The encoding cache is process-wide: a second client issuing the
+        # same read sends the very same encoded invocation, while each
+        # request's size still tracks its own session exactly.
+        from repro.coherence.vector_clock import VectorClock
+
+        first, second = self._client("c1"), self._client("c2")
+        second.session.observe_read(VectorClock({"w": 3, "c2": 1}))
+        first.handle_invocation(
+            MarshalledInvocation("read_page", ("shared.html",)))
+        second.handle_invocation(
+            MarshalledInvocation("read_page", ("shared.html",)))
+        a, b = self._sent_message(first), self._sent_message(second)
+        assert a.body["invocation"] is b.body["invocation"]
+        assert a.payload_size() != b.payload_size()
+        self.assert_size_pinned(a)
+        self.assert_size_pinned(b)
+
+    def test_stubs_share_one_marshalled_invocation(self):
+        from repro.core.stub import Stub
+
+        class _InvocationLog:
+            def __init__(self):
+                self.invocations = []
+
+            def invoke(self, invocation, weight=1):
+                self.invocations.append(invocation)
+
+        first, second = _InvocationLog(), _InvocationLog()
+        Stub(first, "c1").read("read_page", "index.html")
+        Stub(second, "c2").read("read_page", "index.html")
+        assert first.invocations[0] is second.invocations[0]
+
     def test_unhashable_args_fall_back_to_uncached(self):
+        from repro.replication.client import _encoded_read
+
         client = self._client()
+        before = _encoded_read.cache_info()
         invocation = MarshalledInvocation("read_page", (["list-arg"],))
         client.handle_invocation(invocation)
         self.assert_size_pinned(self._sent_message(client))
-        assert not client._read_encodings
+        assert _encoded_read.cache_info() == before  # sized, never cached

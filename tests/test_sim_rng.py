@@ -132,3 +132,38 @@ def test_fork_does_not_materialize_parent():
     assert all(child._random is None for child in children)
     # Forking never consumed parent draws: the stream starts fresh.
     assert parent.random() == random.Random(7).random()
+
+
+def test_draws_before_release_match_unreleased_twin():
+    released, twin = SeededRng(77), SeededRng(77)
+    drawn = released.exponential_block(1.5, 10) + [released.random()]
+    released.release()
+    assert drawn == twin.exponential_block(1.5, 10) + [twin.random()]
+    assert released._random is None  # the MT state is gone
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.random(),
+    lambda rng: rng.exponential(1.0),
+    lambda rng: rng.exponential_block(1.0, 3),
+    lambda rng: rng.choice(["a", "b"]),
+    lambda rng: rng.randint(0, 9),
+    lambda rng: rng.zipf(5),
+])
+@pytest.mark.parametrize("drawn_first", [False, True])
+def test_draw_after_release_raises(draw, drawn_first):
+    # Never a silent re-seed, which would replay the stream from its start.
+    rng = SeededRng(5)
+    if drawn_first:
+        rng.random()
+    rng.release()
+    with pytest.raises(RuntimeError):
+        draw(rng)
+    assert rng._random is None
+
+
+def test_fork_after_release_matches_twin():
+    released, twin = SeededRng(8), SeededRng(8)
+    released.random()
+    released.release()
+    assert released.fork("x").random() == twin.fork("x").random()

@@ -8,7 +8,8 @@ from repro.metrics.staleness import staleness_summary
 from repro.replication.policy import ReplicationPolicy
 from repro.sim.rng import SeededRng, zipf_cumulative
 from repro.workload.cohort import CohortReaderWorkload, cohort_sizes
-from repro.workload.generator import ReaderWorkload, ZipfPagePicker
+from repro.workload.generator import EPOCH, ReaderWorkload, ZipfPagePicker
+from repro.workload import profiles
 from repro.workload.profiles import WorkloadProfile, run_profile
 
 PROFILE = WorkloadProfile(
@@ -184,3 +185,47 @@ class TestVectorizedDraws:
         legacy = SeededRng(21)
         legacy_picker = ZipfPagePicker(["a", "b", "c"], legacy.fork("pages"))
         assert delay.seconds == legacy.exponential(1.0)
+
+
+class TestStreamRelease:
+    """Readers drop both RNG streams once their last epoch is drawn."""
+
+    @pytest.mark.parametrize("cohort_size, n_workloads", [(1, 100), (10, 10)])
+    def test_run_profile_leaves_no_reader_stream_materialized(
+        self, monkeypatch, cohort_size, n_workloads
+    ):
+        made = []
+        for name in ("ReaderWorkload", "CohortReaderWorkload"):
+            def record(*args, _cls=getattr(profiles, name), **kwargs):
+                workload = _cls(*args, **kwargs)
+                made.append(workload)
+                return workload
+
+            monkeypatch.setattr(profiles, name, record)
+        run_profile(
+            ReplicationPolicy.conference_example(),
+            PROFILE,
+            n_caches=2,
+            seed=11,
+            n_readers_per_cache=50,
+            cohort_size=cohort_size,
+        )
+        assert len(made) == n_workloads
+        assert sum(w.stats.operations for w in made) == 100 * 5
+        streams = [s for w in made for s in (w.rng, w.picker.rng)]
+        assert sum(s._random is not None for s in streams) == 0
+        assert all(s._released for s in streams)
+
+    def test_reader_releases_after_its_last_epoch_only(self):
+        # 300 operations span two epochs: the streams stay live through
+        # the first epoch's reads and are released at the second draw.
+        reader = ReaderWorkload(
+            browser=None, pages=["a", "b"], rng=SeededRng(4),
+            operations=EPOCH + 44,
+        )
+        remaining, first = reader._draw_epoch(reader.operations)
+        assert remaining == 44 and len(list(first)) == EPOCH
+        assert not reader.rng._released and not reader.picker.rng._released
+        remaining, last = reader._draw_epoch(remaining)
+        assert remaining == 0 and len(list(last)) == 44
+        assert reader.rng._released and reader.picker.rng._released
