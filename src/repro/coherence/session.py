@@ -26,7 +26,7 @@ from repro.comm.message import estimate_size
 from repro.core.ids import WriteId
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class SessionState:
     """Per-client coherence context."""
 
@@ -42,12 +42,12 @@ class SessionState:
     read_vc: VectorClock = dataclasses.field(default_factory=VectorClock)
     #: Next sequence number for this client's writes.
     next_seqno: int = 1
-
-    def __post_init__(self) -> None:
-        # Deliberately not a dataclass field: the cached wire form (dict
-        # plus estimated size) is derived state, rebuilt lazily whenever
-        # an observation actually changes what :meth:`to_wire` reports.
-        self._wire_cache: Optional[Tuple[Dict[str, Any], int]] = None
+    #: Derived state, not a constructor argument: the cached wire form
+    #: (dict plus estimated size), rebuilt lazily whenever an observation
+    #: actually changes what :meth:`to_wire` reports.
+    _wire_cache: Optional[Tuple[Dict[str, Any], int]] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def with_guarantees(
         self, guarantees: Iterable[SessionGuarantee]

@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.ids import WriteId
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class TraceEvent:
     """Base event: global order index plus virtual timestamp."""
 
@@ -25,7 +25,7 @@ class TraceEvent:
     time: float
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ApplyEvent(TraceEvent):
     """A store applied a write to its replica."""
 
@@ -36,7 +36,7 @@ class ApplyEvent(TraceEvent):
     applied_vc: Dict[str, int]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class InstallEvent(TraceEvent):
     """A store replaced its replica via full-state transfer."""
 
@@ -44,7 +44,7 @@ class InstallEvent(TraceEvent):
     version: Dict[str, int]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class DropEvent(TraceEvent):
     """A store discarded a superseded write (FIFO / eventual LWW)."""
 
@@ -52,7 +52,7 @@ class DropEvent(TraceEvent):
     wid: WriteId
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class WriteIssueEvent(TraceEvent):
     """A client issued a write."""
 
@@ -62,7 +62,7 @@ class WriteIssueEvent(TraceEvent):
     deps: Optional[Dict[str, int]]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class WriteAckEvent(TraceEvent):
     """A client's write was acknowledged by a store."""
 
@@ -71,7 +71,7 @@ class WriteAckEvent(TraceEvent):
     store: str
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ReadEvent(TraceEvent):
     """A store served a read to a client."""
 

@@ -39,6 +39,9 @@ class CommunicationObject:
         (no loss, per-pair FIFO), ``False`` models UDP (loss, reordering).
     """
 
+    __slots__ = ("sim", "network", "address", "reliable", "messages_sent",
+                 "bytes_sent", "_handler", "_pending")
+
     def __init__(
         self,
         sim: Clock,

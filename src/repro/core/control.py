@@ -26,6 +26,9 @@ from repro.transport.interface import Clock
 class ControlObject(ControlInterface):
     """Concrete control object wiring the four sub-objects together."""
 
+    __slots__ = ("sim", "comm", "replication", "semantics", "_role",
+                 "invocations_served")
+
     def __init__(
         self,
         sim: Clock,

@@ -59,7 +59,7 @@ class Store:
         self.engine.reads.demand(want_full=True)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class BoundClient:
     """A client-side local object plus its stub."""
 

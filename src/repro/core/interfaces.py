@@ -102,6 +102,8 @@ class SemanticsObject:
 class ControlInterface:
     """What a replication object may ask of its control object."""
 
+    __slots__ = ()
+
     @property
     def address(self) -> str:
         """Network address of this local object's address space."""
@@ -179,6 +181,8 @@ class ReplicationObject:
     from peers; the replication object drives everything else through its
     :class:`ControlInterface`.
     """
+
+    __slots__ = ("control",)
 
     def attach(self, control: ControlInterface) -> None:
         """Wire the control object; called once during composition."""

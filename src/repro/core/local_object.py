@@ -27,6 +27,9 @@ class LocalObject:
     composition runs in virtual or wall-clock time.
     """
 
+    __slots__ = ("address", "role", "semantics", "comm", "replication",
+                 "control")
+
     def __init__(
         self,
         sim: Clock,

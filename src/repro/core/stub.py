@@ -28,6 +28,8 @@ _marshal = functools.lru_cache(maxsize=1024)(MarshalledInvocation)
 class Stub:
     """Dynamic proxy for one client's view of a distributed shared object."""
 
+    __slots__ = ("_control", "client_id")
+
     def __init__(self, control: ControlObject, client_id: str) -> None:
         self._control = control
         self.client_id = client_id

@@ -73,6 +73,10 @@ class ClientReplicationObject(ReplicationObject):
         At-least-once behaviour over unreliable transports (experiment X5).
     """
 
+    __slots__ = ("client_id", "read_store", "write_store", "policy",
+                 "session", "trace", "request_timeout", "request_retries",
+                 "reads_issued", "writes_issued", "op_latencies")
+
     def __init__(
         self,
         client_id: str,
@@ -164,9 +168,10 @@ class ClientReplicationObject(ReplicationObject):
             self.session.observe_read(version)
             # One latency entry per represented client, so latency and
             # availability metrics weight cohort reads without needing a
-            # schema change in ``op_latencies``.
+            # schema change in ``op_latencies``; the entries are
+            # ``weight`` references to one immutable tuple.
             elapsed = self.control.now() - started
-            self.op_latencies.extend(("read", elapsed) for _ in range(weight))
+            self.op_latencies.extend([("read", elapsed)] * weight)
             result.set_result(reply.body.get("result"))
 
         request.add_callback(on_reply)

@@ -156,6 +156,7 @@ class Simulator:
                 continue
             if not event.daemon:
                 self._live -= 1
+                event._cancel_hook = None  # a late cancel is a no-op
             self.now = event.time
             self._fired += 1
             if _obs.ACTIVE is not None:
@@ -220,6 +221,7 @@ class Simulator:
                 queue.pop()
                 if not event.daemon:
                     self._live -= 1
+                    event._cancel_hook = None  # a late cancel is a no-op
                 self.now = event.time
                 self._fired += 1
                 fired += 1

@@ -68,6 +68,8 @@ class Process:
     processes created at t=0 begin in creation order.
     """
 
+    __slots__ = ("sim", "name", "done", "_generator", "_alive")
+
     def __init__(
         self,
         sim: Simulator,

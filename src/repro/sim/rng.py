@@ -53,6 +53,8 @@ def zipf_cumulative(n: int, s: float = 1.0) -> Tuple[float, ...]:
 class SeededRng:
     """A deterministic random source with distribution helpers."""
 
+    __slots__ = ("seed", "_random", "_forks", "_released")
+
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         # The underlying Mersenne Twister is materialized on first draw,

@@ -29,6 +29,8 @@ class Browser:
     processes ``yield`` them.
     """
 
+    __slots__ = ("bound", "_stub")
+
     def __init__(self, bound: BoundClient) -> None:
         self.bound = bound
         self._stub: Stub = bound.stub

@@ -62,6 +62,8 @@ class CohortReaderWorkload(ReaderWorkload):
         expansion.
     """
 
+    __slots__ = ("weight", "expand", "members")
+
     def __init__(
         self,
         browser: Browser,

@@ -43,6 +43,8 @@ class ZipfPagePicker:
     one table instead of recomputing the harmonic sum per client.
     """
 
+    __slots__ = ("pages", "rng", "skew", "cumulative")
+
     def __init__(self, pages: Sequence[str], rng: SeededRng, skew: float = 1.0) -> None:
         if not pages:
             raise ValueError("pages must be non-empty")
@@ -83,7 +85,7 @@ class ZipfPagePicker:
         ]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class WorkloadStats:
     """What one workload process observed."""
 
@@ -98,6 +100,9 @@ class ReaderWorkload:
     The workload owns ``rng``: it and the picker's fork of it are
     released once the last read is drawn, so pass a stream of its own.
     """
+
+    __slots__ = ("browser", "picker", "rng", "mean_think", "operations",
+                 "stats")
 
     def __init__(
         self,

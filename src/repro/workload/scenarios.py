@@ -231,6 +231,10 @@ def build_tree(
     """
     if cohort_size < 1:
         raise ValueError(f"cohort_size must be >= 1, got {cohort_size!r}")
+    # Frozen once: ``frozenset`` of a frozenset is the set itself, so
+    # every session (expanded cohort members included) shares it.
+    master_guarantees = frozenset(master_guarantees)
+    reader_guarantees = frozenset(reader_guarantees)
     backend_obj = _resolve_backend(backend, seed, latency, live_latency,
                                    loss_rate, scheduler=scheduler)
     clock, transport = backend_obj.clock, backend_obj.transport

@@ -178,3 +178,21 @@ def test_catalog_plans_build_for_any_tree():
 def test_catalog_unknown_name_lists_registry():
     with pytest.raises(KeyError, match="registered:"):
         get_fault_plan("nope")
+
+
+def test_cancel_after_a_fault_fired_keeps_the_drain_run_alive():
+    # cancel() also cancels the handles of events that already fired;
+    # those must not drop the simulator's live count a second time.
+    sim = Simulator()
+    net, _ = make_net(sim)
+    injector = FaultInjector(sim, net, PLAN)
+    injector.start()
+    fired = []
+    sim.schedule(10.0, fired.append, "later")
+    sim.run(until=2.5)
+    assert [round(t, 6) for t, _ in injector.applied] == [1.0, 2.0]
+    injector.cancel()
+    assert sim.live_pending == 1
+    sim.run_until_idle()
+    assert fired == ["later"]
+    assert len(injector.applied) == 2

@@ -160,3 +160,29 @@ def test_events_fired_counter():
         sim.schedule(1.0, lambda: None)
     sim.run_until_idle()
     assert sim.events_fired == 3
+
+
+def test_cancel_after_fire_is_a_no_op():
+    # A fired event's cancel must not decrement the live count a second
+    # time, or a drain run would stop before later events fire.
+    sim = Simulator()
+    fired = []
+    early = sim.schedule(1.0, fired.append, "early")
+    sim.schedule(5.0, fired.append, "late")
+    sim.run(until=2.0)
+    early.cancel()
+    assert sim.live_pending == 1
+    sim.run_until_idle()
+    assert fired == ["early", "late"]
+
+
+def test_cancel_after_step_is_a_no_op():
+    sim = Simulator()
+    fired = []
+    early = sim.schedule(1.0, fired.append, "early")
+    sim.schedule(5.0, fired.append, "late")
+    assert sim.step()
+    early.cancel()
+    assert sim.live_pending == 1
+    sim.run_until_idle()
+    assert fired == ["early", "late"]
