@@ -42,19 +42,12 @@ class SessionState:
     read_vc: VectorClock = dataclasses.field(default_factory=VectorClock)
     #: Next sequence number for this client's writes.
     next_seqno: int = 1
-    #: Derived state, not a constructor argument: the cached wire form
-    #: (dict plus estimated size), rebuilt lazily whenever an observation
-    #: actually changes what :meth:`to_wire` reports.
-    _wire_cache: Optional[Tuple[Dict[str, Any], int]] = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def with_guarantees(
         self, guarantees: Iterable[SessionGuarantee]
     ) -> "SessionState":
         """Return self with the guarantee set replaced (builder style)."""
         self.guarantees = frozenset(guarantees)
-        self._wire_cache = None
         return self
 
     # -- write path ------------------------------------------------------------
@@ -83,7 +76,6 @@ class SessionState:
         self.last_write = wid
         self.last_write_store = store
         self.write_vc.record(wid)
-        self._wire_cache = None
 
     # -- read path ------------------------------------------------------------
 
@@ -102,31 +94,31 @@ class SessionState:
 
     def observe_read(self, store_version: VectorClock) -> None:
         """Record the version vector the serving store reported."""
-        if self.read_vc.merge(store_version):
-            self._wire_cache = None
+        self.read_vc.merge(store_version)
 
     # -- wire form ------------------------------------------------------------
 
     def to_wire(self) -> Dict[str, Any]:
         """Context dict shipped with read/write requests to stores.
 
-        The dict is cached between observations that change it (most
-        reads observe nothing new) and shared by reference across
-        requests; receivers treat request bodies as frozen, so the shared
-        form is never mutated.
+        Built fresh per request from the current fields, so a field
+        assigned directly is on the next request like any observation.
         """
-        return self.wire_sized()[0]
+        guarantees = self.guarantees
+        if (SessionGuarantee.READ_YOUR_WRITES in guarantees
+                or SessionGuarantee.MONOTONIC_READS in guarantees):
+            requirement = self.read_requirement().as_dict()
+        else:
+            requirement = {}
+        return {
+            "client_id": self.client_id,
+            "requirement": requirement,
+            "last_write": str(self.last_write) if self.last_write else None,
+            "last_write_store": self.last_write_store,
+            "guarantees": sorted(g.value for g in guarantees),
+        }
 
     def wire_sized(self) -> Tuple[Dict[str, Any], int]:
         """The wire form together with its estimated payload size."""
-        cached = self._wire_cache
-        if cached is None:
-            wire = {
-                "client_id": self.client_id,
-                "requirement": self.read_requirement().as_dict(),
-                "last_write": str(self.last_write) if self.last_write else None,
-                "last_write_store": self.last_write_store,
-                "guarantees": sorted(g.value for g in self.guarantees),
-            }
-            cached = self._wire_cache = (wire, estimate_size(wire))
-        return cached
+        wire = self.to_wire()
+        return wire, estimate_size(wire)

@@ -57,20 +57,12 @@ class VectorClock:
         """Advance by a write identifier."""
         self.advance(wid.client_id, wid.seqno)
 
-    def merge(self, other: "VectorClock") -> bool:
-        """Pointwise maximum, in place.
-
-        Returns whether any entry actually advanced, so callers keeping a
-        derived cache (the session wire form) can skip invalidation when
-        a merge was a no-op.
-        """
+    def merge(self, other: "VectorClock") -> None:
+        """Pointwise maximum, in place."""
         entries = self._entries
-        changed = False
         for client_id, seqno in other._entries.items():
             if seqno > entries.get(client_id, 0):
                 entries[client_id] = seqno
-                changed = True
-        return changed
 
     def merged(self, other: "VectorClock") -> "VectorClock":
         """Pointwise maximum, as a new clock."""

@@ -19,19 +19,6 @@ class LatencyModel:
         """One-way delay in seconds for a datagram of ``size_bytes``."""
         raise NotImplementedError
 
-    def pair_delay(self, src: str, dst: str) -> Optional[float]:
-        """The fixed delay for a pair, if the model can promise one.
-
-        A model answers with the exact value :meth:`delay` would return
-        for this ``(src, dst)`` pair -- any payload size, every call --
-        or ``None`` when it cannot promise that (randomized jitter, or a
-        size-dependent transmission time).  The simulated network uses
-        the answer to memoize delays per pair on its send fast path; a
-        ``None`` disables the memo.  The default is conservative:
-        subclasses that do not opt in are never memoized.
-        """
-        return None
-
     @staticmethod
     def transmission_time(size_bytes: int, bandwidth_bps: Optional[float]) -> float:
         """Serialization delay for a payload on a link of given bandwidth."""
@@ -56,12 +43,6 @@ class ConstantLatency(LatencyModel):
     def delay(self, src: str, dst: str, size_bytes: int) -> float:
         """Constant base delay plus transmission time."""
         return self.base + self.transmission_time(size_bytes, self.bandwidth_bps)
-
-    def pair_delay(self, src: str, dst: str) -> Optional[float]:
-        """The base delay -- memoizable unless bandwidth makes size matter."""
-        if self.bandwidth_bps:
-            return None
-        return self.base
 
 
 class UniformLatency(LatencyModel):
@@ -90,10 +71,6 @@ class UniformLatency(LatencyModel):
         """Uniformly jittered delay plus transmission time."""
         base = self.rng.uniform(self.low, self.high)
         return base + self.transmission_time(size_bytes, self.bandwidth_bps)
-
-    def pair_delay(self, src: str, dst: str) -> Optional[float]:
-        """Never memoizable: every datagram draws fresh jitter."""
-        return None
 
 
 class RegionalLatency(LatencyModel):
@@ -151,12 +128,6 @@ class RegionalLatency(LatencyModel):
             base += self.rng.uniform(0.0, jitter)
         return base + self.transmission_time(size_bytes, self.bandwidth_bps)
 
-    def pair_delay(self, src: str, dst: str) -> Optional[float]:
-        """Never memoizable: :meth:`assign` may move a node between
-        regions at any time, so a pair's delay is not fixed even when
-        jitter and bandwidth are off."""
-        return None
-
 
 class GraphLatency(LatencyModel):
     """Shortest-path latency over an arbitrary weighted graph.
@@ -182,17 +153,6 @@ class GraphLatency(LatencyModel):
         """Shortest-path delay plus transmission time."""
         base = self._shortest(src, dst)
         return base + self.transmission_time(size_bytes, self.bandwidth_bps)
-
-    def pair_delay(self, src: str, dst: str) -> Optional[float]:
-        """The cached shortest-path delay, memoizable without bandwidth.
-
-        The internal path cache already assumes a frozen graph, so
-        letting the network memoize the same value adds no new staleness
-        hazard.
-        """
-        if self.bandwidth_bps:
-            return None
-        return self._shortest(src, dst)
 
     def _shortest(self, src: str, dst: str) -> float:
         if src == dst:

@@ -25,11 +25,14 @@ fault is active (no partition, no crashed node -- the mixin maintains the
 gate, its lock, and the trace-hook guards are skipped entirely.  Installing
 a tracer or injecting any fault re-arms the full reference path, which is
 byte-identical in stats and schedule to the fast lane (pinned by the
-regression tests and the ``bench_net`` parity check).  Latency lookups are
-memoized per ``(src, dst)`` pair for models that declare themselves
-size-independent and deterministic via
-:meth:`~repro.net.latency.LatencyModel.pair_delay`; assigning a new model
-to :attr:`Network.latency` resets the memo.
+regression tests and the ``bench_net`` parity check).
+
+**FIFO floors.**  A reliable datagram never arrives before an earlier one
+on its ``(src, dst)`` pair: its arrival is clamped to the pair's floor,
+the latest arrival scheduled on that pair.  A floor is kept only while
+the pair has a reliable datagram in flight -- the arrival that reaches
+it drops it -- so the network holds no per-pair state at idle, and the
+clamp holds under any latency model, including one swapped mid-flight.
 """
 
 from __future__ import annotations
@@ -143,28 +146,18 @@ class Network(FaultableTransportMixin):
         loss_rate: float = 0.0,
     ) -> None:
         self.sim = sim
-        self._latency = latency or ConstantLatency()
-        # Per-(src, dst) delay memo; ``None`` once the model declines
-        # (size-dependent or randomized), re-armed on model assignment.
-        self._delay_cache: Optional[Dict[Tuple[str, str], float]] = {}
+        #: The latency model datagram delays are sampled from; may be
+        #: swapped at any time.
+        self.latency = latency or ConstantLatency()
         self.metrics = MetricsRegistry()
         self.stats = NetworkStats().bind(self.metrics)
         self._handlers: Dict[str, ReceiveHandler] = {}
+        # FIFO floor per (src, dst) pair with a reliable datagram in
+        # flight: the latest arrival scheduled on that pair.
         self._fifo_clock: Dict[Tuple[str, str], float] = {}
         self._init_faults(
             loss_rng=sim.rng.fork("network-loss"), loss_rate=loss_rate
         )
-
-    @property
-    def latency(self) -> LatencyModel:
-        """The latency model datagram delays are sampled from."""
-        return self._latency
-
-    @latency.setter
-    def latency(self, model: LatencyModel) -> None:
-        """Swap the latency model; resets the per-pair delay memo."""
-        self._latency = model
-        self._delay_cache = {}
 
     # -- membership -----------------------------------------------------------
 
@@ -300,32 +293,10 @@ class Network(FaultableTransportMixin):
 
     # -- delivery ------------------------------------------------------------------
 
-    def _pair_delay(self, src: str, dst: str, size_bytes: int) -> float:
-        """One datagram's delay, memoized per pair when the model allows.
-
-        Models that are deterministic and size-independent (they answer
-        :meth:`~repro.net.latency.LatencyModel.pair_delay`) are asked
-        once per ``(src, dst)`` pair; the first ``None`` answer disables
-        the memo for the network, so randomized or size-dependent models
-        pay only one extra probe ever.
-        """
-        cache = self._delay_cache
-        if cache is None:
-            return self._latency.delay(src, dst, size_bytes)
-        key = (src, dst)
-        delay = cache.get(key)
-        if delay is None:
-            delay = self._latency.pair_delay(src, dst)
-            if delay is None:
-                self._delay_cache = None
-                return self._latency.delay(src, dst, size_bytes)
-            cache[key] = delay
-        return delay
-
     def _deliver_reliable(
         self, src: str, dst: str, payload: object, size_bytes: int
     ) -> None:
-        arrival = self.sim.now + self._pair_delay(src, dst, size_bytes)
+        arrival = self.sim.now + self.latency.delay(src, dst, size_bytes)
         # FIFO clamp: a reliable stream never reorders within a (src, dst)
         # pair, exactly like a TCP connection.
         key = (src, dst)
@@ -334,7 +305,8 @@ class Network(FaultableTransportMixin):
         if arrival < floor:
             arrival = floor
         fifo[key] = arrival
-        self.sim.schedule_at(arrival, self._arrive, src, dst, payload, size_bytes)
+        self.sim.schedule_at(arrival, self._arrive, src, dst, payload,
+                             size_bytes, key)
 
     def _deliver_unreliable(
         self, src: str, dst: str, payload: object, size_bytes: int
@@ -346,10 +318,24 @@ class Network(FaultableTransportMixin):
                     src=src, reason="loss",
                 )
             return
-        delay = self._pair_delay(src, dst, size_bytes)
+        delay = self.latency.delay(src, dst, size_bytes)
         self.sim.schedule(delay, self._arrive, src, dst, payload, size_bytes)
 
-    def _arrive(self, src: str, dst: str, payload: object, size_bytes: int) -> None:
+    def _arrive(
+        self,
+        src: str,
+        dst: str,
+        payload: object,
+        size_bytes: int,
+        fifo_key: Optional[Tuple[str, str]] = None,
+    ) -> None:
+        if fifo_key is not None:
+            # A reliable arrival that reaches its pair's floor drops it.
+            # Any later send lands at ``now`` or after, and same-instant
+            # events fire in scheduling order, so FIFO still holds.
+            fifo = self._fifo_clock
+            if fifo.get(fifo_key) == self.sim.now:
+                del fifo[fifo_key]
         if self._faults_active and self._crashed_at_arrival(dst):
             return
         handler = self._handlers.get(dst)

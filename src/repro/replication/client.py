@@ -132,7 +132,7 @@ class ClientReplicationObject(ReplicationObject):
             encoded, encoded_size = _encoded_read.__wrapped__(invocation)
         wire, wire_size = self.session.wire_sized()
         body = {"invocation": encoded, "session": wire}
-        # The request size, assembled from the cached parts: the fixed
+        # The request size, assembled from the two sized parts: the fixed
         # dict-walk overhead of the two body items is
         # 2 + len("invocation") and 2 + len("session"), i.e. 21 bytes.
         # Pinned equal to a fresh ``estimate_size`` walk by the test

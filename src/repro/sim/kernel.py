@@ -80,6 +80,8 @@ class Simulator:
         self._seq: int = 0
         self._fired: int = 0
         self._live: int = 0  # pending non-daemon, non-cancelled events
+        # Bound once: every live event shares this one cancel hook.
+        self._live_cancel_hook = self._on_live_cancel
         self.rng = SeededRng(seed)
 
     @property
@@ -134,7 +136,7 @@ class Simulator:
             )
         if not daemon:
             self._live += 1
-            event._cancel_hook = self._on_live_cancel
+            event._cancel_hook = self._live_cancel_hook
         self._queue.push(event)
         return event
 

@@ -77,6 +77,8 @@ class SeededRng:
         """Drop the generator state after its owner's last draw.
 
         Later draws raise: re-seeding would silently replay the stream.
+        An owner that is done with the stream object itself can hold
+        :data:`RELEASED` in its place.
         """
         self._random = None
         self._released = True
@@ -192,3 +194,9 @@ class SeededRng:
             if target < cumulative:
                 return index
         return len(weights) - 1
+
+
+#: A released stream shared by every owner past its last draw, so
+#: owners can drop their own stream objects; drawing on it raises.
+RELEASED = SeededRng()
+RELEASED.release()

@@ -102,9 +102,10 @@ class CohortReaderWorkload(ReaderWorkload):
         """
         remaining = self.operations
         while remaining > 0:
-            remaining, epoch = self._draw_epoch(remaining)
-            for think, page in epoch:
-                yield Delay(think)
+            remaining, draws = self._draw_epoch(remaining)
+            while draws:
+                yield Delay(draws.pop())
+                page = draws.pop()
                 if self.members is None:
                     try:
                         yield WaitFor(

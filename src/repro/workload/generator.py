@@ -21,13 +21,13 @@ import dataclasses
 import threading
 import time
 from bisect import bisect_right
-from typing import Any, Generator, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from repro.replication.client import ReplicaError
 from repro.sim.future import Future
 from repro.sim.kernel import Simulator
 from repro.sim.process import Delay, Process, WaitFor
-from repro.sim.rng import SeededRng, zipf_cumulative
+from repro.sim.rng import RELEASED, SeededRng, zipf_cumulative
 
 #: Operations whose randomness is pre-drawn in one block.  Bounds the
 #: per-process buffer (a few hundred floats) while amortizing the
@@ -120,15 +120,16 @@ class ReaderWorkload:
         self.operations = operations
         self.stats = WorkloadStats()
 
-    def _draw_epoch(
-        self, remaining: int
-    ) -> Tuple[int, Iterator[Tuple[float, str]]]:
-        """Pre-draw the next epoch: ``(reads left, (think, page) pairs)``.
+    def _draw_epoch(self, remaining: int) -> Tuple[int, List[Any]]:
+        """Pre-draw the next epoch: ``(reads left, draws)``.
 
-        Think times and page picks come from separate streams, so
-        blocking each keeps the historical per-request draw order.  Both
-        streams are released with the last epoch: 10^4 idle readers must
-        not hold their Mersenne-Twister states for the rest of the run.
+        ``draws`` interleaves the epoch's think times and pages in
+        reverse, so each read pops its think time, then its page, off
+        the end.  Think times and page picks come from separate streams,
+        so blocking each keeps the historical per-request draw order.
+        Both streams are released with the last epoch and the reader
+        drops them: 10^4 idle readers must not hold their RNG objects
+        for the rest of the run.
         """
         block = min(remaining, EPOCH)
         remaining -= block
@@ -137,7 +138,13 @@ class ReaderWorkload:
         if not remaining:
             self.rng.release()
             self.picker.rng.release()
-        return remaining, zip(thinks, pages)
+            self.rng = self.picker.rng = RELEASED
+        thinks.reverse()
+        pages.reverse()
+        draws: List[Any] = [None] * (2 * block)
+        draws[::2] = pages
+        draws[1::2] = thinks
+        return remaining, draws
 
     def run(self) -> Generator:
         """Generator body for :class:`~repro.sim.process.Process`.
@@ -146,9 +153,10 @@ class ReaderWorkload:
         """
         remaining = self.operations
         while remaining > 0:
-            remaining, epoch = self._draw_epoch(remaining)
-            for think, page in epoch:
-                yield Delay(think)
+            remaining, draws = self._draw_epoch(remaining)
+            while draws:
+                yield Delay(draws.pop())
+                page = draws.pop()
                 try:
                     yield WaitFor(self.browser.read_page(page))
                 except ReplicaError:

@@ -3,7 +3,10 @@
 Large runs build one copy of this graph per simulated client, so every
 class in it is slotted (no per-instance ``__dict__``), readers share
 one frozen guarantee set, and a cohort read records its weight as
-references to one latency tuple.  Everything here counts objects; no
+references to one latency tuple.  Nothing outlives its use: at idle the
+network keeps no per-pair state, sessions carry no derived wire form,
+finished readers hold no stream of their own, and live events share
+their simulator's one cancel hook.  Everything here counts objects; no
 test reads the process RSS.
 """
 
@@ -26,7 +29,7 @@ from repro.core.stub import Stub
 from repro.replication.client import ClientReplicationObject
 from repro.replication.policy import ReplicationPolicy
 from repro.sim.process import Process
-from repro.sim.rng import SeededRng
+from repro.sim.rng import RELEASED, SeededRng
 from repro.web.webobject import Browser
 from repro.workload.cohort import CohortReaderWorkload
 from repro.workload.generator import (
@@ -187,3 +190,50 @@ def test_trace_events_stay_frozen(per_client_run):
     for event in events:
         with pytest.raises(dataclasses.FrozenInstanceError):
             event.time = -1.0
+
+
+@pytest.mark.parametrize("run", ["per_client_run", "cohort_run"])
+def test_network_keeps_no_per_pair_state_at_idle(request, run):
+    deployment, _, _ = request.getfixturevalue(run)
+    network = deployment.network
+    assert network.stats.datagrams_delivered > 0
+    per_pair = {name: value for name, value in vars(network).items()
+                if isinstance(value, dict) and value
+                and all(isinstance(key, tuple) for key in value)}
+    assert per_pair == {}
+
+
+@pytest.mark.parametrize("run", ["per_client_run", "cohort_run"])
+def test_sessions_carry_no_derived_wire_form(request, run):
+    deployment, _, _ = request.getfixturevalue(run)
+    for browser in deployment.browsers.values():
+        session = browser.session
+        # Every slot is a constructor field: nothing cached beside them.
+        assert set(type(session).__slots__) == {
+            field.name for field in dataclasses.fields(session)
+            if field.init}
+        assert session.to_wire() is not session.to_wire()
+
+
+@pytest.mark.parametrize("run", ["per_client_run", "cohort_run"])
+def test_finished_readers_hold_no_stream_of_their_own(request, run):
+    _, workloads, processes = request.getfixturevalue(run)
+    assert not any(process.alive for process in processes)
+    for workload in workloads:
+        assert workload.rng is RELEASED
+        assert workload.picker.rng is RELEASED
+    with pytest.raises(RuntimeError):
+        workloads[0].rng.random()
+
+
+@pytest.mark.parametrize("run", ["per_client_run", "cohort_run"])
+def test_live_events_share_one_cancel_hook(request, run):
+    deployment, _, _ = request.getfixturevalue(run)
+    sim = deployment.sim
+    live = [sim.schedule(1.0, print) for _ in range(3)]
+    daemon = sim.schedule(1.0, print, daemon=True)
+    assert len({id(event._cancel_hook) for event in live}) == 1
+    assert daemon._cancel_hook is None
+    for event in live + [daemon]:
+        event.cancel()
+    assert sim.live_pending == 0

@@ -358,34 +358,40 @@ def test_multicast_to_only_self_is_a_noop():
     assert net.stats.bytes_sent == 0
 
 
-# -- FIFO clamp under the per-pair latency memo -------------------------------
+# -- FIFO clamp: per-pair order, floors kept only while in flight ------------
 
 
-def test_fifo_clamp_with_memoized_latency():
-    # ConstantLatency is memoized per pair; back-to-back reliable sends
-    # at the same instant must still be clamped into FIFO order (each
-    # arrival lands no earlier than its predecessor's).
+def timed_collector(sim, received):
+    def handler(src, payload, size):
+        received.append((sim.now, payload))
+    return handler
+
+
+def test_fifo_clamp_orders_same_instant_sends():
+    # Back-to-back reliable sends at the same instant arrive in send
+    # order, all at the one sampled delay; the pair's floor is dropped
+    # once the last of them lands.
     sim = Simulator()
     net = make_net(sim, latency=ConstantLatency(0.05))
     received = []
     net.register("a", collector([]))
-    net.register("b", collector(received))
+    net.register("b", timed_collector(sim, received))
     for index in range(10):
         net.send("a", "b", index, reliable=True)
-    assert net._delay_cache  # the memo actually engaged
+    assert net._fifo_clock == {("a", "b"): 0.05}
     sim.run_until_idle()
-    assert [payload for _, payload, _ in received] == list(range(10))
+    assert received == [(0.05, index) for index in range(10)]
+    assert net._fifo_clock == {}
 
 
-def test_fifo_clamp_survives_heal_flush_with_memoized_latency():
+def test_fifo_clamp_survives_heal_flush():
     # Datagrams queued behind a partition flush on heal; the flushed
-    # stream and everything sent after it must stay FIFO per pair even
-    # though every delay now comes from the per-pair memo.
+    # stream and everything sent after it stay FIFO per pair.
     sim = Simulator()
     net = make_net(sim, latency=ConstantLatency(0.05))
     received = []
     net.register("a", collector([]))
-    net.register("b", collector(received))
+    net.register("b", timed_collector(sim, received))
     net.send("a", "b", "before")
     net.partition(["a"], ["b"])
     for index in range(3):
@@ -394,9 +400,41 @@ def test_fifo_clamp_survives_heal_flush_with_memoized_latency():
     net.heal()
     net.send("a", "b", "after", reliable=True)
     sim.run_until_idle()
-    payloads = [payload for _, payload, _ in received]
-    assert payloads == ["before", ("queued", 0), ("queued", 1),
-                        ("queued", 2), "after"]
-    # Arrival times were monotone (the clamp held across the flush).
-    clamp = net._fifo_clock[("a", "b")]
-    assert clamp >= 1.0 + 0.05
+    assert received == [
+        (0.05, "before"), (1.05, ("queued", 0)), (1.05, ("queued", 1)),
+        (1.05, ("queued", 2)), (1.05, "after"),
+    ]
+    assert net._fifo_clock == {}
+
+
+@pytest.mark.parametrize("swap_to", ["constant", "uniform"])
+def test_fifo_order_holds_across_a_latency_swap(swap_to):
+    # Reliable datagrams are in flight under a slow model, some of them
+    # already delivered, when a much faster (or jittered) one takes
+    # over: later sends must still land after the earlier ones on every
+    # pair.
+    sim = Simulator(seed=3)
+    net = make_net(sim, latency=ConstantLatency(0.5))
+    received = {name: [] for name in "bc"}
+    net.register("a", collector([]))
+    for name in "bc":
+        net.register(name, timed_collector(sim, received[name]))
+    for index in range(5):
+        for dst in "bc":
+            net.send("a", dst, ("slow", index), reliable=True)
+        sim.run(until=sim.now + 0.05)
+    sim.run(until=0.52)  # slow 0 has landed, slow 1-4 are in flight
+    net.latency = (ConstantLatency(0.01) if swap_to == "constant"
+                   else UniformLatency(0.0, 0.2, sim.rng.fork("lat")))
+    for index in range(5):
+        for dst in "bc":
+            net.send("a", dst, ("fast", index), reliable=True)
+        sim.run(until=sim.now + 0.02)
+    sim.run_until_idle()
+    expected = ([("slow", index) for index in range(5)]
+                + [("fast", index) for index in range(5)])
+    for box in received.values():
+        assert [payload for _, payload in box] == expected
+        times = [at for at, _ in box]
+        assert times == sorted(times) and times[0] == 0.5
+    assert net._fifo_clock == {}

@@ -335,6 +335,27 @@ class TestReadRequestSizing:
         client.handle_invocation(invocation)
         self.assert_size_pinned(self._sent_message(client))
 
+    def test_direct_field_assignment_reaches_the_next_read(self):
+        # SessionState is a public, mutable dataclass: fields assigned
+        # directly must be on the very next request, not a stale form.
+        from repro.coherence.models import SessionGuarantee
+        from repro.core.ids import WriteId
+        from repro.replication.client import ClientReplicationObject
+
+        client = ClientReplicationObject("c1", read_store="cache")
+        client.attach(_RecordingControl())
+        invocation = MarshalledInvocation("read_page", ("index.html",))
+        client.handle_invocation(invocation)
+        assert self._sent_message(client).body["session"]["guarantees"] == []
+        client.session.guarantees = frozenset(
+            {SessionGuarantee.MONOTONIC_READS})
+        client.session.last_write = WriteId("c1", 4)
+        client.handle_invocation(invocation)
+        message = self._sent_message(client)
+        assert message.body["session"]["guarantees"] == ["monotonic-reads"]
+        assert message.body["session"]["last_write"] == "c1:4"
+        self.assert_size_pinned(message)
+
     def test_repeat_reads_share_cached_encoding(self):
         client = self._client()
         invocation = MarshalledInvocation("read_page", ("index.html",))

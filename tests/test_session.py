@@ -107,11 +107,6 @@ class TestSessionState:
 
 
 class TestWireCache:
-    def test_to_wire_is_cached_until_state_changes(self):
-        session = SessionState("c", guarantees=frozenset({RYW, MR}))
-        first = session.to_wire()
-        assert session.to_wire() is first  # cached by reference
-
     def test_observe_write_invalidates(self):
         session = SessionState("c", guarantees=frozenset({RYW}))
         before = session.to_wire()
@@ -119,19 +114,6 @@ class TestWireCache:
         after = session.to_wire()
         assert after is not before
         assert after["last_write"] != before["last_write"]
-
-    def test_observe_read_invalidates_only_on_merge_change(self):
-        session = SessionState("c", guarantees=frozenset({MR}))
-        session.observe_read(VectorClock({"x": 4}))
-        cached = session.to_wire()
-        # A dominated version changes nothing: the cache survives.
-        session.observe_read(VectorClock({"x": 3}))
-        assert session.to_wire() is cached
-        # A newer component must rebuild the requirement.
-        session.observe_read(VectorClock({"x": 5}))
-        fresh = session.to_wire()
-        assert fresh is not cached
-        assert fresh["requirement"] != cached["requirement"]
 
     def test_with_guarantees_invalidates(self):
         session = SessionState("c")

@@ -6,7 +6,7 @@ from repro.coherence.trace import ReadEvent, coherence_signature
 from repro.metrics.faults import unavailable_read_fraction
 from repro.metrics.staleness import staleness_summary
 from repro.replication.policy import ReplicationPolicy
-from repro.sim.rng import SeededRng, zipf_cumulative
+from repro.sim.rng import RELEASED, SeededRng, zipf_cumulative
 from repro.workload.cohort import CohortReaderWorkload, cohort_sizes
 from repro.workload.generator import EPOCH, ReaderWorkload, ZipfPagePicker
 from repro.workload import profiles
@@ -223,9 +223,24 @@ class TestStreamRelease:
             browser=None, pages=["a", "b"], rng=SeededRng(4),
             operations=EPOCH + 44,
         )
+        # Each epoch is one list of think times and pages, consumed from
+        # the end; after the last draw the reader holds the shared
+        # released stream instead of its own.
         remaining, first = reader._draw_epoch(reader.operations)
-        assert remaining == 44 and len(list(first)) == EPOCH
+        assert remaining == 44 and len(first) == 2 * EPOCH
+        twin = ReaderWorkload(
+            browser=None, pages=["a", "b"], rng=SeededRng(4),
+            operations=EPOCH + 44,
+        )
+        expected = list(zip(twin.rng.exponential_block(1.0, EPOCH),
+                            twin.picker.pick_block(EPOCH)))
+        assert [(first[-1 - 2 * k], first[-2 - 2 * k])
+                for k in range(EPOCH)] == expected
         assert not reader.rng._released and not reader.picker.rng._released
+        own = (reader.rng, reader.picker.rng)
         remaining, last = reader._draw_epoch(remaining)
-        assert remaining == 0 and len(list(last)) == 44
-        assert reader.rng._released and reader.picker.rng._released
+        assert remaining == 0 and len(last) == 2 * 44
+        assert all(stream._released for stream in own)
+        assert reader.rng is reader.picker.rng is RELEASED
+        with pytest.raises(RuntimeError):
+            reader.rng.random()
